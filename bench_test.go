@@ -355,14 +355,14 @@ func BenchmarkAblationGF2(b *testing.B) {
 	})
 }
 
-// --- Ablation 5: dense LU vs sparse CG for the wire Laplacian ---
+// --- Ablation 5: forward-solver set-up (grounded-Laplacian Green's function) ---
 
 func BenchmarkAblationLaplacian(b *testing.B) {
 	const n = 48
 	a := grid.NewSquare(n)
 	r := grid.UniformField(n, n, 5000)
 	r.Set(10, 10, 20000)
-	b.Run("dense-lu", func(b *testing.B) {
+	b.Run("dense-green", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := circuit.NewSolver(a, r)
 			if err != nil {
@@ -370,15 +370,6 @@ func BenchmarkAblationLaplacian(b *testing.B) {
 			}
 			if s.EffectiveResistance(0, 0) <= 0 {
 				b.Fatal("bad Z")
-			}
-		}
-	})
-	b.Run("sparse-cg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := circuit.NewCGSolver(a, r, 1e-10)
-			z, err := s.EffectiveResistance(0, 0)
-			if err != nil || z <= 0 {
-				b.Fatalf("bad Z: %v %v", z, err)
 			}
 		}
 	})

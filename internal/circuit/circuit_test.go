@@ -262,31 +262,6 @@ func TestSensitivityMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-// TestCGSolverMatchesDense cross-validates the two solver backends.
-func TestCGSolverMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m, n := 5, 6
-	a := grid.New(m, n)
-	r := randomField(rng, m, n)
-	dense, err := NewSolver(a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := NewCGSolver(a, r, 1e-13)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			want := dense.EffectiveResistance(i, j)
-			got, err := cg.EffectiveResistance(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-6*want {
-				t.Fatalf("pair (%d,%d): CG %g vs dense %g", i, j, got, want)
-			}
-		}
-	}
-}
-
 // TestUniformArrayZSymmetry: with a uniform field on a square array, Z must
 // be identical for every pair by symmetry.
 func TestUniformArrayZSymmetry(t *testing.T) {

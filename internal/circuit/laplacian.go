@@ -28,11 +28,7 @@ func Laplacian(a grid.Array, r *grid.Field) *sparse.CSR {
 	b := sparse.NewBuilder(nNodes, nNodes)
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
-			res := r.At(i, j)
-			if res <= 0 {
-				panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
-			}
-			g := 1 / res
+			g := conductance(r, i, j)
 			u, v := i, a.Rows()+j
 			b.Add(u, u, g)
 			b.Add(v, v, g)
@@ -50,76 +46,157 @@ func checkField(a grid.Array, r *grid.Field) {
 	}
 }
 
-// Solver computes effective resistances and wire potentials against one
-// resistance field. It factorizes the grounded Laplacian once (node 0, the
-// first horizontal wire, is the ground) and reuses the factorization across
-// all wire pairs, so measuring the whole array costs one O(N³) factorization
-// plus m·n O(N²) solves, N = m+n.
+// conductance returns 1/R_ij, panicking on a non-positive resistance.
+func conductance(r *grid.Field, i, j int) float64 {
+	res := r.At(i, j)
+	if res <= 0 {
+		panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
+	}
+	return 1 / res
+}
+
+// stamp adds a conductance g between nodes u and v of the dense Laplacian.
+func stamp(lap *mat.Matrix, u, v int, g float64) {
+	lap.Add(u, u, g)
+	lap.Add(v, v, g)
+	lap.Add(u, v, -g)
+	lap.Add(v, u, -g)
+}
+
+// greenChunkFlops is the work one pool chunk of column solves should carry
+// in greens: small networks build G in one direct call, large ones hand
+// out a column at a time.
+const greenChunkFlops = 1 << 15
+
+// greens returns the Green's function of a connected network whose dense
+// Laplacian lap (k×k) is grounded at node 0: a k×k row-major G whose row
+// and column 0 are zero and whose trailing block is the inverse of the
+// grounded Laplacian. The grounded Laplacian is SPD, so it is factored once
+// by Cholesky; the k−1 column solves are independent and fan out across the
+// kernel pool, each solving in place in its own row of G (the inverse is
+// symmetric, so row c holds column c). The result is then symmetrized
+// exactly — G[u][v] == G[v][u] bit for bit — which lets every query read a
+// pair's potentials as two contiguous rows. Each entry is computed by one
+// worker in a fixed order, so G is identical at any pool width.
+func greens(lap *mat.Matrix) ([]float64, error) {
+	k := lap.Rows()
+	reduced := mat.NewMatrix(k-1, k-1)
+	for i := 1; i < k; i++ {
+		copy(reduced.Row(i-1), lap.Row(i)[1:])
+	}
+	chol, err := mat.CholeskyInPlace(reduced)
+	if err != nil {
+		return nil, err
+	}
+	g := make([]float64, k*k)
+	grain := 1 + greenChunkFlops/(2*k*k)
+	mat.ParallelFor(k-1, grain, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			x := g[(c+1)*k+1 : (c+2)*k]
+			x[c] = 1
+			chol.SolveTo(x, x)
+		}
+	})
+	for i := 1; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			avg := 0.5 * (g[i*k+j] + g[j*k+i])
+			g[i*k+j], g[j*k+i] = avg, avg
+		}
+	}
+	return g, nil
+}
+
+// Solver answers every forward query against one resistance field from the
+// field's Green's function G: the inverse of the grounded Laplacian (node
+// 0, the first horizontal wire, is the ground), embedded in an N×N matrix,
+// N = m+n, whose ground row and column are zero. The potentials of a unit
+// current injected at wire u and extracted at wire v are
+// L⁻¹(e_u − e_v) = G[·][u] − G[·][v], so after one O(N³) construction (a
+// Cholesky factorization and N−1 column solves) an effective resistance is
+//
+//	Z_uv = G_uu + G_vv − G_uv − G_vu
+//
+// and a pair's potentials, sensitivities and Jacobian row are lookups into
+// two rows of G: measuring the whole array does no per-pair solve. G is N²
+// floats, about the size of one dense factorization of the grounded
+// Laplacian, which is what a cached Solver costs.
 //
 // A Solver is immutable after NewSolver and safe for concurrent use: every
-// query method only reads the factorization (mat.LU.Solve writes solely to
-// vectors it allocates per call). The serving layer's factorization cache
+// query method only reads G. The serving layer's factorization cache
 // (internal/serve) hands one *Solver to many workers at once and relies on
 // this; TestSolverConcurrentReaders pins the contract under -race.
 type Solver struct {
 	arr grid.Array
-	lu  *mat.LU
-	n   int // total wire nodes
+	n   int       // total wire nodes N
+	g   []float64 // N×N Green's function, row-major, exactly symmetric
 }
 
 // NewSolver prepares a solver for the array with the given resistance field.
 func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 	checkField(a, r)
-	lap := Laplacian(a, r)
-	n := a.Rows() + a.Cols()
-	// Ground node 0: delete its row and column. The result is positive
-	// definite for any connected resistor network.
-	reduced := mat.NewMatrix(n-1, n-1)
-	for i := 1; i < n; i++ {
-		for j := 1; j < n; j++ {
-			reduced.Set(i-1, j-1, lap.At(i, j))
+	m := a.Rows()
+	n := m + a.Cols()
+	lap := mat.NewMatrix(n, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < a.Cols(); j++ {
+			stamp(lap, i, m+j, conductance(r, i, j))
 		}
 	}
-	lu, err := mat.Factorize(reduced)
+	g, err := greens(lap)
 	if err != nil {
 		return nil, fmt.Errorf("circuit: grounded Laplacian is singular (disconnected array?): %w", err)
 	}
-	return &Solver{arr: a, lu: lu, n: n}, nil
+	return &Solver{arr: a, n: n, g: g}, nil
 }
 
-// potentials returns node potentials x with L·x = e_u − e_v and x[ground]=0.
-func (s *Solver) potentials(u, v int) mat.Vector {
-	rhs := mat.NewVector(s.n - 1)
-	if u != 0 {
-		rhs[u-1] = 1
-	}
-	if v != 0 {
-		rhs[v-1] = -1
-	}
-	sol := s.lu.Solve(rhs)
-	x := mat.NewVector(s.n)
-	copy(x[1:], sol)
-	return x
+// PairView is a zero-copy view of one wire pair's unit-current potentials:
+// two rows of the solver's G, so building and reading it allocates
+// nothing. It is the primitive under EffectiveResistance, Sensitivity and
+// the recovery solver's Jacobian refresh and pattern scan, which evaluate
+// exactly the drops they need instead of materializing a vector per pair.
+type PairView struct {
+	gu, gv []float64 // G rows of the injection and extraction wires
+	m      int       // horizontal wire count: vertical wire l is node m+l
+}
+
+// Pair returns the potential view for a unit current injected at
+// horizontal wire i and extracted at vertical wire j.
+func (s *Solver) Pair(i, j int) PairView {
+	u := s.arr.WireVertex(true, i)
+	v := s.arr.WireVertex(false, j)
+	return PairView{gu: s.g[u*s.n : (u+1)*s.n], gv: s.g[v*s.n : (v+1)*s.n], m: s.arr.Rows()}
+}
+
+// Potential returns the potential of wire node k (horizontal wires first,
+// the grid.Array.WireVertex layout), with the ground node at 0.
+func (p PairView) Potential(k int) float64 { return p.gu[k] - p.gv[k] }
+
+// Drop returns the potential drop across resistor (k, l), from horizontal
+// wire k to vertical wire l. Drop(i, j) of pair (i, j)'s own view is Z_ij.
+func (p PairView) Drop(k, l int) float64 {
+	return (p.gu[k] - p.gv[k]) - (p.gu[p.m+l] - p.gv[p.m+l])
 }
 
 // Potentials returns the full node-potential vector x (one entry per wire,
 // horizontal wires first) for a unit current injected at horizontal wire i
-// and extracted at vertical wire j, with the ground node at 0. It is the
-// primitive under EffectiveResistance and Sensitivity: the drop across
-// resistor (k, l) is x[WireVertex(true,k)] − x[WireVertex(false,l)], which
-// lets a sparse Jacobian assembly evaluate exactly the sensitivity entries
-// its pattern keeps instead of materializing a full field per pair.
+// and extracted at vertical wire j, with the ground node at 0: the drop
+// across resistor (k, l) is x[WireVertex(true,k)] − x[WireVertex(false,l)].
+// It allocates the vector; Pair is the allocation-free view of the same
+// values.
 func (s *Solver) Potentials(i, j int) mat.Vector {
-	return s.potentials(s.arr.WireVertex(true, i), s.arr.WireVertex(false, j))
+	p := s.Pair(i, j)
+	x := mat.NewVector(s.n)
+	for k := range x {
+		x[k] = p.Potential(k)
+	}
+	return x
 }
 
 // EffectiveResistance returns Z between horizontal wire i and vertical wire
-// j: the potential difference produced by a unit current injection.
+// j: the potential difference produced by a unit current injection,
+// G_uu + G_vv − G_uv − G_vu for wires u = i and v = m+j.
 func (s *Solver) EffectiveResistance(i, j int) float64 {
-	u := s.arr.WireVertex(true, i)
-	v := s.arr.WireVertex(false, j)
-	x := s.potentials(u, v)
-	return x[u] - x[v]
+	return s.Pair(i, j).Drop(i, j)
 }
 
 // PairSolution carries the complete electrical state for one wire pair under
@@ -140,13 +217,11 @@ type PairSolution struct {
 // wire i is held at potential srcU and wire j at 0; every other wire floats
 // at its Kirchhoff equilibrium, yielding the paper's Ua and Ub unknowns.
 func (s *Solver) SolvePair(i, j int, srcU float64) PairSolution {
-	u := s.arr.WireVertex(true, i)
-	v := s.arr.WireVertex(false, j)
-	x := s.potentials(u, v)
-	z := x[u] - x[v]
+	x := s.Pair(i, j)
+	z := x.Drop(i, j)
 	// Scale and shift so x[u] = srcU, x[v] = 0.
 	scale := srcU / z
-	offset := x[v]
+	offset := x.Potential(s.arr.WireVertex(false, j))
 	m, n := s.arr.Rows(), s.arr.Cols()
 	ps := PairSolution{I: i, J: j, U: srcU, Z: z,
 		Ua: make([]float64, 0, n-1), Ub: make([]float64, 0, m-1)}
@@ -154,38 +229,36 @@ func (s *Solver) SolvePair(i, j int, srcU float64) PairSolution {
 		if k == j {
 			continue
 		}
-		ps.Ua = append(ps.Ua, (x[s.arr.WireVertex(false, k)]-offset)*scale)
+		ps.Ua = append(ps.Ua, (x.Potential(s.arr.WireVertex(false, k))-offset)*scale)
 	}
 	for mm := 0; mm < m; mm++ {
 		if mm == i {
 			continue
 		}
-		ps.Ub = append(ps.Ub, (x[s.arr.WireVertex(true, mm)]-offset)*scale)
+		ps.Ub = append(ps.Ub, (x.Potential(s.arr.WireVertex(true, mm))-offset)*scale)
 	}
 	return ps
 }
 
 // MeasureAll returns the full Z matrix — the synthetic equivalent of the
-// wet lab's pairwise measurements. The m·n pair solves are independent
-// reads of the one factorization, so they fan out across the shared kernel
-// pool (mat.Parallelism bounds the width); each pair writes its own Z
-// entry, and the result is identical at any parallelism.
+// wet lab's pairwise measurements: one Green's-function build (whose column
+// solves fan out across the shared kernel pool) and then four lookups per
+// pair. The result is identical at any pool width.
 func MeasureAll(a grid.Array, r *grid.Field) (*grid.Field, error) {
+	sp := obs.StartSpan("circuit/measure_all")
 	s, err := NewSolver(a, r)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
-	sp := obs.StartSpan("circuit/measure_all")
 	z := grid.NewFieldFor(a)
-	m, n := a.Rows(), a.Cols()
+	n := a.Cols()
 	zv := z.Values()
-	mat.ParallelFor(m*n, 4, func(lo, hi int) {
-		for pq := lo; pq < hi; pq++ {
-			zv[pq] = s.EffectiveResistance(pq/n, pq%n)
-		}
-	})
+	for pq := range zv {
+		zv[pq] = s.EffectiveResistance(pq/n, pq%n)
+	}
 	if sp.Active() {
-		sp.End(obs.I("pairs", m*n))
+		sp.End(obs.I("pairs", len(zv)))
 	}
 	return z, nil
 }
@@ -195,18 +268,15 @@ func MeasureAll(a grid.Array, r *grid.Field) (*grid.Field, error) {
 //
 //	∂Z/∂g_kl = −(x_k − x_l)²  and  g = 1/R  ⇒  ∂Z/∂R_kl = ((x_k − x_l)/R_kl)².
 //
-// One linear solve yields the gradient with respect to all m·n resistors,
-// which is what makes Gauss-Newton recovery tractable.
+// The pair's potentials give the gradient with respect to all m·n
+// resistors, which is what makes Gauss-Newton recovery tractable.
 func (s *Solver) Sensitivity(p, q int, r *grid.Field) *grid.Field {
 	checkField(s.arr, r)
-	u := s.arr.WireVertex(true, p)
-	v := s.arr.WireVertex(false, q)
-	x := s.potentials(u, v)
+	x := s.Pair(p, q)
 	out := grid.NewFieldFor(s.arr)
 	for i := 0; i < s.arr.Rows(); i++ {
 		for j := 0; j < s.arr.Cols(); j++ {
-			drop := x[s.arr.WireVertex(true, i)] - x[s.arr.WireVertex(false, j)]
-			ratio := drop / r.At(i, j)
+			ratio := x.Drop(i, j) / r.At(i, j)
 			out.Set(i, j, ratio*ratio)
 		}
 	}

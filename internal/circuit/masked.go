@@ -11,15 +11,18 @@ import (
 // MaskedSolver measures a defective MEA: resistors masked out contribute
 // no conductance, and the wire graph may fall into several electrical
 // components. Pairs in different components are unmeasurable and report
-// +Inf. Each component is grounded and factorized independently.
+// +Inf. Each component is grounded at its first wire and gets its own
+// Green's function, built by the same helper as Solver's, so an effective
+// resistance is four lookups into its component's G.
 //
 // Like Solver, a MaskedSolver is immutable after construction and safe for
-// concurrent readers: queries only read the per-component factorizations.
+// concurrent readers: queries only read the per-component Green's functions.
 type MaskedSolver struct {
 	arr    grid.Array
-	labels []int // component label per wire node
-	lus    []*mat.LU
-	index  []int // wire node -> row index within its component's matrix (-1 for ground)
+	labels []int       // component label per wire node
+	local  []int       // wire node -> index within its component (0 is the component's ground)
+	size   []int       // node count per component
+	greens [][]float64 // per-component size×size G; nil for an isolated wire
 }
 
 // NewMaskedSolver prepares a solver for the array with the given
@@ -30,63 +33,41 @@ func NewMaskedSolver(a grid.Array, r *grid.Field, mask *grid.Mask) (*MaskedSolve
 	labels, count := g.Components()
 	n := a.Rows() + a.Cols()
 
-	// Assign per-component row indices, grounding the first node of each.
-	index := make([]int, n)
-	rows := make([]int, count)
-	ground := make([]bool, count)
+	// Number each component's nodes in wire order; its first node, local
+	// index 0, is its ground.
+	local := make([]int, n)
+	size := make([]int, count)
 	for node := 0; node < n; node++ {
 		comp := labels[node]
-		if !ground[comp] {
-			ground[comp] = true
-			index[node] = -1
-			continue
-		}
-		index[node] = rows[comp]
-		rows[comp]++
+		local[node] = size[comp]
+		size[comp]++
 	}
 
-	// Assemble per-component grounded Laplacians densely.
-	mats := make([]*mat.Matrix, count)
-	for comp := range mats {
-		mats[comp] = mat.NewMatrix(rows[comp], rows[comp])
-	}
-	stamp := func(u, v int, gcond float64) {
-		comp := labels[u]
-		iu, iv := index[u], index[v]
-		if iu >= 0 {
-			mats[comp].Add(iu, iu, gcond)
-		}
-		if iv >= 0 {
-			mats[comp].Add(iv, iv, gcond)
-		}
-		if iu >= 0 && iv >= 0 {
-			mats[comp].Add(iu, iv, -gcond)
-			mats[comp].Add(iv, iu, -gcond)
-		}
+	// Assemble per-component Laplacians densely.
+	laps := make([]*mat.Matrix, count)
+	for comp := range laps {
+		laps[comp] = mat.NewMatrix(size[comp], size[comp])
 	}
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
 			if !mask.Active(i, j) {
 				continue
 			}
-			res := r.At(i, j)
-			if res <= 0 {
-				panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
-			}
-			stamp(a.WireVertex(true, i), a.WireVertex(false, j), 1/res)
+			u, v := a.WireVertex(true, i), a.WireVertex(false, j)
+			stamp(laps[labels[u]], local[u], local[v], conductance(r, i, j))
 		}
 	}
 
-	s := &MaskedSolver{arr: a, labels: labels, index: index, lus: make([]*mat.LU, count)}
-	for comp := range mats {
-		if mats[comp].Rows() == 0 {
+	s := &MaskedSolver{arr: a, labels: labels, local: local, size: size, greens: make([][]float64, count)}
+	for comp, lap := range laps {
+		if size[comp] < 2 {
 			continue // singleton component: an isolated wire
 		}
-		lu, err := mat.Factorize(mats[comp])
+		gc, err := greens(lap)
 		if err != nil {
 			return nil, fmt.Errorf("circuit: component %d Laplacian singular: %w", comp, err)
 		}
-		s.lus[comp] = lu
+		s.greens[comp] = gc
 	}
 	return s, nil
 }
@@ -97,31 +78,13 @@ func (s *MaskedSolver) EffectiveResistance(i, j int) float64 {
 	u := s.arr.WireVertex(true, i)
 	v := s.arr.WireVertex(false, j)
 	comp := s.labels[u]
-	if s.labels[v] != comp || s.lus[comp] == nil {
+	if s.labels[v] != comp || s.greens[comp] == nil {
 		return math.Inf(1)
 	}
-	lu := s.lus[comp]
-	size := 0
-	for node, c := range s.labels {
-		if c == comp && s.index[node] >= 0 {
-			size++
-		}
-	}
-	rhs := mat.NewVector(size)
-	if s.index[u] >= 0 {
-		rhs[s.index[u]] = 1
-	}
-	if s.index[v] >= 0 {
-		rhs[s.index[v]] = -1
-	}
-	x := lu.Solve(rhs)
-	val := func(node int) float64 {
-		if s.index[node] < 0 {
-			return 0
-		}
-		return x[s.index[node]]
-	}
-	return val(u) - val(v)
+	k, g := s.size[comp], s.greens[comp]
+	iu, iv := s.local[u], s.local[v]
+	gu, gv := g[iu*k:(iu+1)*k], g[iv*k:(iv+1)*k]
+	return (gu[iu] - gv[iu]) - (gu[iv] - gv[iv])
 }
 
 // MeasureAllMasked returns the pairwise Z field of a defective device,

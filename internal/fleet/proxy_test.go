@@ -176,10 +176,23 @@ func TestProxyFailsOverOnConnectError(t *testing.T) {
 
 func TestProxyNoLiveBackends(t *testing.T) {
 	w0 := newComputeWorker(t, "w0")
-	rt, backends := newTestRouter(t, PolicyRoundRobin, w0)
-	// Mark the only backend dead directly (the prober would do this after
-	// the suspect window).
-	backends[0].setProbe(ProbeState{Alive: false})
+	// Kill the only backend and build the router without starting its probe
+	// loop, then mark the backend dead directly (the prober would do this
+	// after the suspect window). A running prober could readmit a live
+	// backend between the mark and the request.
+	w0.srv.Close()
+	backend := NewBackend(w0.name, w0.srv.URL)
+	rt, err := New(Config{
+		Backends:       []*Backend{backend},
+		Policy:         PolicyRoundRobin,
+		AttemptTimeout: 2 * time.Second,
+		Probe:          fastProbe(),
+		RetryAfter:     time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend.setProbe(ProbeState{Alive: false})
 	rec := doRecover(t, rt.Handler(), recoverBody(8, 8))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)

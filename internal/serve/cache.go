@@ -17,8 +17,9 @@ import (
 // holding two kinds of entries.
 //
 //   - Factorizations: a *circuit.Solver keyed by (geometry, hash of R).
-//     Repeated /v1/measure calls on the same field skip the O(N³)
-//     grounded-Laplacian factorization and pay only the O(N²) solves.
+//     Repeated /v1/measure calls on the same field skip the O(N³) build
+//     of the grounded Laplacian's Green's function and pay only four
+//     lookups into it per pair.
 //     This leans on circuit.Solver being immutable and safe for
 //     concurrent readers — see the concurrency tests in internal/circuit.
 //   - Warm starts: the last recovered R field keyed by geometry alone.

@@ -18,6 +18,7 @@ package solver
 import (
 	"fmt"
 
+	"parma/internal/mat"
 	"parma/internal/sparse"
 )
 
@@ -75,6 +76,98 @@ func (p *Plan) Cols() int { return p.n }
 
 // NNZ returns the structural pattern's entry count, m·n·(m+n−1).
 func (p *Plan) NNZ() int { return len(p.colIdx) }
+
+// normalChunkFlops is the work one pool chunk of Plan.NormalInto rows
+// should carry.
+const normalChunkFlops = 1 << 15
+
+// NormalInto refreshes dst = JᵀJ restricted to the cross pattern, given
+// jt = Jᵀ, where both dst and jt are built on the plan's pattern (the pure
+// cross Jacobian's transpose shares it). It is sparse.NormalInto without
+// the index merges: for Jᵀ rows i = (a, b) and j = (c, d) the pairs both
+// rows hold follow from the geometry alone —
+//
+//   - i == j: the whole row;
+//   - same grid row (c == a): the pairs (a, 0..n−1), the contiguous block
+//     at offset a of both rows;
+//   - same grid column (d == b): the pairs (0..m−1, b), which sit in three
+//     contiguous segments of each row (see crossColumnDot).
+//
+// Each dot adds its products in ascending pair order, the order the merge
+// visits them, so the values are bit-identical to sparse.NormalInto's.
+// Rows fan out across the shared kernel pool, each owned by one worker.
+func (p *Plan) NormalInto(dst, jt *sparse.CSR) {
+	m, n := p.m, p.n
+	u := m * n
+	if dst.Rows() != u || jt.Rows() != u || dst.NNZ() != p.NNZ() || jt.NNZ() != p.NNZ() {
+		panic(fmt.Sprintf("solver: Plan.NormalInto on %dx%d (nnz %d) from %dx%d (nnz %d), want the %dx%d cross pattern (nnz %d)",
+			dst.Rows(), dst.Cols(), dst.NNZ(), jt.Rows(), jt.Cols(), jt.NNZ(), u, u, p.NNZ()))
+	}
+	grain := 1 + normalChunkFlops/(2*(m*m+n*n))
+	mat.ParallelFor(u, grain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a, b := i/n, i%n
+			_, ti := jt.RowVals(i)
+			cols, out := dst.RowVals(i)
+			for s, j := range cols {
+				_, tj := jt.RowVals(j)
+				c := j / n
+				var sum float64
+				switch {
+				case j == i:
+					for _, v := range ti {
+						sum += v * v
+					}
+				case c == a:
+					x, y := ti[a:a+n], tj[a:a+n]
+					for l, v := range x {
+						sum += v * y[l]
+					}
+				default:
+					sum = crossColumnDot(ti, tj, a, c, b, m, n)
+				}
+				out[s] = sum
+			}
+		}
+	})
+}
+
+// crossColumnDot is the dot product of the cross-pattern rows ti of (a, b)
+// and tj of (c, b), a ≠ c, over the pairs they share: (k, b) for
+// k = 0..m−1, in ascending k. Within the row of (a, b), pair (k, b) sits at
+// offset k for k < a, a+b for k = a, and k+n−1 for k > a, so the sum runs
+// as contiguous segments split at a and c.
+func crossColumnDot(ti, tj []float64, a, c, b, m, n int) float64 {
+	// Strictly between lo and hi, the row whose own grid row is lo is past
+	// its block (offset n−1) and the other has not reached its own (0).
+	lo, hi := a, c
+	offI, offJ := n-1, 0
+	if c < a {
+		lo, hi = c, a
+		offI, offJ = 0, n-1
+	}
+	var sum float64
+	for k := 0; k < lo; k++ {
+		sum += ti[k] * tj[k]
+	}
+	if lo == a {
+		sum += ti[a+b] * tj[lo]
+	} else {
+		sum += ti[lo] * tj[c+b]
+	}
+	for k := lo + 1; k < hi; k++ {
+		sum += ti[k+offI] * tj[k+offJ]
+	}
+	if hi == a {
+		sum += ti[a+b] * tj[hi+n-1]
+	} else {
+		sum += ti[hi+n-1] * tj[c+b]
+	}
+	for k := hi + 1; k < m; k++ {
+		sum += ti[k+n-1] * tj[k+n-1]
+	}
+	return sum
+}
 
 // Method selects the linear-algebra backend of Recover's Gauss-Newton step.
 type Method uint8

@@ -59,10 +59,11 @@ type RecoverResult struct {
 	R          *grid.Field // the recovered resistance field
 	Iterations int
 	Residual   float64 // final relative residual
-	// FactorTime is the cumulative time spent factorizing grounded
-	// Laplacians (circuit.NewSolver) across every forward solve, the
-	// dominant per-iteration cost the serving layer attributes separately
-	// from the rest of the solve.
+	// FactorTime is the cumulative time spent building forward solvers
+	// (circuit.NewSolver: the grounded-Laplacian Cholesky factorization and
+	// the Green's function G it inverts to) across every forward solve, the
+	// per-iteration cost the serving layer attributes separately from the
+	// rest of the solve.
 	FactorTime time.Duration
 	// Method is the backend that actually ran (never MethodAuto).
 	Method Method
@@ -79,16 +80,18 @@ type RecoverResult struct {
 // the paper's §IV-A sensibility constraint) and equalizes scale across the
 // 2,000–11,000 kΩ dynamic range.
 //
-// Each iteration costs one grounded-Laplacian factorization plus one
-// adjoint solve per wire pair, and a damped normal-equation solve whose
-// backend opts.Method selects: dense (materialized JᵀJ, Cholesky) for small
-// arrays, sparse (pruned CSR Jacobian, matrix-free preconditioned CG) for
-// large ones, or auto — the default — which picks per geometry from the
-// measured crossover (docs/performance.md tabulates it).
+// Each iteration costs one Green's-function build of the grounded
+// Laplacian (circuit.NewSolver, O((m+n)³)), after which every pair's
+// residual and Jacobian row are lookups into it, and a damped
+// normal-equation solve whose backend opts.Method selects: dense
+// (materialized JᵀJ, Cholesky) for small arrays, sparse (pruned CSR
+// Jacobian, matrix-free preconditioned CG) for large ones, or auto — the
+// default — which picks per geometry from the measured crossover
+// (docs/performance.md tabulates it).
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
-// sensitivity solves fan out across the shared worker pool (each pair owns
-// one Jacobian row, so no locks), J^T·J is formed by the one-pass symmetric
+// Jacobian rows fan out across the shared worker pool (each pair owns one
+// row, so no locks), J^T·J is formed by the one-pass symmetric
 // ATA kernel, and the damped normal equations are solved by Cholesky with a
 // pivoted-LU fallback on breakdown. mat.Parallelism bounds the fan-out; a
 // serving layer running many concurrent recoveries sets it so request-level
@@ -141,25 +144,25 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		return RecoverResult{}, fmt.Errorf("solver: zero measurement matrix")
 	}
 
-	// residualInto factorizes field's Laplacian and fills dst with the
-	// per-pair residuals, fanning the m·n independent pair solves across the
-	// shared kernel pool (the factorization is read-only after NewSolver, so
-	// pair solves are free to run concurrently).
+	// residualInto builds field's forward solver and fills dst with the
+	// per-pair residuals, each four lookups into the solver's Green's
+	// function.
 	var factorTime time.Duration
+	zv := z.Values()
 	residualInto := func(field *grid.Field, dst mat.Vector) (*circuit.Solver, error) {
+		sp := obs.StartSpanIn(ctx, "solver/forward_residual")
 		t0 := time.Now()
 		s, err := circuit.NewSolver(a, field)
 		factorTime += time.Since(t0)
-		if err != nil {
-			return nil, err
-		}
-		mat.ParallelFor(m*n, pairGrain, func(lo, hi int) {
-			for pq := lo; pq < hi; pq++ {
-				i, j := pq/n, pq%n
-				dst[pq] = s.EffectiveResistance(i, j) - z.At(i, j)
+		if err == nil {
+			for pq := range dst {
+				dst[pq] = s.EffectiveResistance(pq/n, pq%n) - zv[pq]
 			}
-		})
-		return s, nil
+		}
+		if sp.Active() {
+			sp.End(obs.I("pairs", m*n))
+		}
+		return s, err
 	}
 
 	res := mat.NewVector(m * n)
@@ -273,11 +276,6 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	return result, ErrDiverged
 }
 
-// pairGrain batches pair solves per pool chunk: each solve is two
-// triangular substitutions (tens of microseconds at paper sizes), so a few
-// per handout amortize the chunk claim without hurting balance.
-const pairGrain = 4
-
 // gnStepper is the Gauss-Newton linear-algebra backend behind one recovery:
 // prepare linearizes at the accepted iterate (Jacobian, normal-equation
 // state, right-hand side Jᵀ·res) and solve produces the damped step for one
@@ -323,22 +321,23 @@ func (st *denseStepper) solve(_ context.Context, step mat.Vector, lambda float64
 func (st *denseStepper) stats() (int, int) { return 0, 0 }
 
 // assembleJacobian fills jac with the log-space Jacobian
-// J[pq, kl] = ∂Z_pq/∂R_kl · R_kl, fanning the m·n adjoint sensitivity
-// solves across the shared kernel pool. Each pair owns one Jacobian row, so
-// workers write disjoint memory and need no locks; fwd is immutable after
-// construction (pinned under -race in internal/circuit), which is what
-// makes the concurrent solves sound.
+// J[pq, kl] = ∂Z_pq/∂R_kl · R_kl = (drop_kl/R_kl)²·R_kl (the adjoint
+// identity of circuit.Solver.Sensitivity), reading each pair's drops from
+// the forward solver's allocation-free pair view. The m·n rows fan out
+// across the shared kernel pool; each pair owns one row, so workers write
+// disjoint memory and need no locks, and fwd is immutable after
+// construction (pinned under -race in internal/circuit).
 func assembleJacobian(ctx context.Context, jac *mat.Matrix, fwd *circuit.Solver, r *grid.Field) {
 	m, n := r.Rows(), r.Cols()
 	sp := obs.StartSpanIn(ctx, "solver/jacobian")
 	rv := r.Values()
 	mat.ParallelFor(m*n, 1, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
-			sens := fwd.Sensitivity(pq/n, pq%n, r)
+			x := fwd.Pair(pq/n, pq%n)
 			row := jac.Row(pq)
-			sv := sens.Values()
-			for d := range row {
-				row[d] = sv[d] * rv[d]
+			for kl := range row {
+				ratio := x.Drop(kl/n, kl%n) / rv[kl]
+				row[kl] = ratio * ratio * rv[kl]
 			}
 		}
 	})

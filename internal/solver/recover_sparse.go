@@ -118,16 +118,15 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 	rv := r.Values()
 	// Each pair owns one Jacobian row; workers write disjoint slots and the
 	// per-slot arithmetic is order-free, so the refresh is deterministic at
-	// any pool width. Node x[k] is horizontal wire k, x[m+l] vertical wire l
-	// (grid.Array.WireVertex's layout), so every slot is two loads, a
-	// subtract, and the log-space scaling the dense assembly applies.
+	// any pool width. Every slot reads its drop from the forward solver's
+	// allocation-free pair view (two rows of its Green's function) and
+	// applies the log-space scaling the dense assembly applies.
 	mat.ParallelFor(m*n, 1, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
-			x := fwd.Potentials(pq/n, pq%n)
+			x := fwd.Pair(pq/n, pq%n)
 			cols, vals := st.j.RowVals(pq)
 			for s, kl := range cols {
-				drop := x[kl/n] - x[m+kl%n]
-				ratio := drop / rv[kl]
+				ratio := x.Drop(kl/n, kl%n) / rv[kl]
 				vals[s] = ratio * ratio * rv[kl]
 			}
 		}
@@ -148,7 +147,14 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 		}
 	})
 	if st.ic != nil {
-		sparse.NormalInto(st.normal, st.jt)
+		// On the plan's pure cross pattern the pairs two Jᵀ rows share
+		// follow from the geometry, so the plan's kernel skips the index
+		// merges; an augmented Jᵀ needs the generic merge.
+		if st.augmented {
+			sparse.NormalInto(st.normal, st.jt)
+		} else {
+			st.plan.NormalInto(st.normal, st.jt)
+		}
 	}
 	if sp.Active() {
 		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.j.NNZ()))
@@ -170,40 +176,50 @@ func (st *sparseStepper) buildPattern(ctx context.Context, fwd *circuit.Solver, 
 	sp := obs.StartSpanIn(ctx, "solver/sparse_pattern")
 	tol := st.dropTol()
 	rv := r.Values()
-	// Scan every candidate entry once. Rows are independent: workers write
-	// disjoint survivor slots and drop-mass cells.
+	// Scan every candidate entry: one pass for the row maximum, one to
+	// classify, both reading the pair's drops straight from the forward
+	// solver's pair view, so the scan allocates nothing per pair unless an
+	// off-cross entry survives. Rows are independent: workers write
+	// disjoint survivor slots, and each sums its row's kept and dropped
+	// mass locally and stores them once, so workers on neighbouring rows do
+	// not contend for one cache line per entry.
 	survivors := make([][]int32, u)
 	kept := make([]float64, u)    // per-row kept sensitivity mass (squared values)
 	dropped := make([]float64, u) // per-row pruned mass
 	mat.ParallelFor(u, 1, func(lo, hi int) {
-		row := make([]float64, u)
 		for pq := lo; pq < hi; pq++ {
-			x := fwd.Potentials(pq/n, pq%n)
 			p, q := pq/n, pq%n
+			x := fwd.Pair(p, q)
+			sens := func(k, l int) float64 {
+				ratio := x.Drop(k, l) / rv[k*n+l]
+				return ratio * ratio * rv[k*n+l]
+			}
 			rowMax := 0.0
-			for kl := 0; kl < u; kl++ {
-				drop := x[kl/n] - x[m+kl%n]
-				ratio := drop / rv[kl]
-				v := ratio * ratio * rv[kl]
-				row[kl] = v
-				if a := math.Abs(v); a > rowMax {
-					rowMax = a
+			for k := 0; k < m; k++ {
+				for l := 0; l < n; l++ {
+					if a := math.Abs(sens(k, l)); a > rowMax {
+						rowMax = a
+					}
 				}
 			}
 			cut := tol * rowMax
-			for kl := 0; kl < u; kl++ {
-				v := row[kl]
-				onCross := kl/n == p || kl%n == q
-				keep := onCross || (tol < 0 && v != 0) || (tol >= 0 && math.Abs(v) >= cut) //parmavet:allow floateq -- exact zeros carry no sensitivity even in keep-all mode
-				if keep {
-					kept[pq] += v * v
-					if !onCross {
-						survivors[pq] = append(survivors[pq], int32(kl))
+			var keptSum, droppedSum float64
+			for k := 0; k < m; k++ {
+				for l := 0; l < n; l++ {
+					v := sens(k, l)
+					onCross := k == p || l == q
+					keep := onCross || (tol < 0 && v != 0) || (tol >= 0 && math.Abs(v) >= cut) //parmavet:allow floateq -- exact zeros carry no sensitivity even in keep-all mode
+					if keep {
+						keptSum += v * v
+						if !onCross {
+							survivors[pq] = append(survivors[pq], int32(k*n+l))
+						}
+					} else {
+						droppedSum += v * v
 					}
-				} else {
-					dropped[pq] += v * v
 				}
 			}
+			kept[pq], dropped[pq] = keptSum, droppedSum
 		}
 	})
 	extra := 0
@@ -304,7 +320,12 @@ func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda floa
 	}
 	var pre sparse.Preconditioner
 	if st.ic != nil {
-		if err := st.ic.Refresh(st.normal, st.shifted); err == nil {
+		sp := obs.StartSpanIn(ctx, "solver/ic0_refresh")
+		err := st.ic.Refresh(st.normal, st.shifted)
+		if sp.Active() {
+			sp.End(obs.F("lambda", lambda))
+		}
+		if err == nil {
 			pre = st.ic
 		} else {
 			obs.Add("solver/ic0_fallbacks", 1)

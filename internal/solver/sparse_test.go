@@ -12,6 +12,7 @@ import (
 	"parma/internal/gen"
 	"parma/internal/grid"
 	"parma/internal/mat"
+	"parma/internal/sparse"
 )
 
 // TestPlanCrossPattern pins the symbolic layer: row (p, q) of the plan holds
@@ -51,6 +52,143 @@ func TestPlanCrossPattern(t *testing.T) {
 		if !in[[2]int{e[1], e[0]}] {
 			t.Fatalf("pattern not structurally symmetric at %v", e)
 		}
+	}
+}
+
+// TestPlanNormalIntoMatchesMerge pins the cross-structured normal kernel to
+// the generic index-merge kernel it replaces on the production pattern:
+// bit-identical values (==, not a tolerance) on random Jᵀ values, at
+// single-wire, rectangular and square geometries and two pool widths.
+func TestPlanNormalIntoMatchesMerge(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {5, 7}, {24, 24}} {
+		m, n := dims[0], dims[1]
+		p := NewPlan(m, n)
+		u := m * n
+		rng := rand.New(rand.NewSource(int64(m*100 + n)))
+		jt := sparse.FromPattern(u, u, p.rowPtr, p.colIdx)
+		for k := range jt.Values() {
+			jt.Values()[k] = rng.NormFloat64() * math.Exp(4*rng.NormFloat64())
+		}
+		want := sparse.FromPattern(u, u, p.rowPtr, p.colIdx)
+		sparse.NormalInto(want, jt)
+		for _, workers := range []int{1, 3} {
+			got := sparse.FromPattern(u, u, p.rowPtr, p.colIdx)
+			prev := mat.Parallelism(workers)
+			p.NormalInto(got, jt)
+			mat.Parallelism(prev)
+			for k, w := range want.Values() {
+				if g := got.Values()[k]; g != w {
+					t.Fatalf("%dx%d workers=%d: slot %d = %.17g, merge kernel %.17g", m, n, workers, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNormalInto times the preconditioner's JᵀJ refresh on the 48×48
+// cross pattern (the recover-large geometry, nnz 218,880): the generic
+// index-merge kernel against the plan's cross-structured one.
+func BenchmarkNormalInto(b *testing.B) {
+	const size = 48
+	p := NewPlan(size, size)
+	u := size * size
+	rng := rand.New(rand.NewSource(1))
+	jt := sparse.FromPattern(u, u, p.rowPtr, p.colIdx)
+	for k := range jt.Values() {
+		jt.Values()[k] = rng.Float64()
+	}
+	dst := sparse.FromPattern(u, u, p.rowPtr, p.colIdx)
+	b.Run("merge", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sparse.NormalInto(dst, jt)
+		}
+	})
+	b.Run("cross", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.NormalInto(dst, jt)
+		}
+	})
+}
+
+// TestSparseAugmentedPatternUsesMergeKernel: when pruning keeps off-cross
+// entries the Jacobian's pattern is no longer the plan's, so the
+// preconditioner's JᵀJ must come from the generic merge kernel — the
+// plan's kernel rejects that Jᵀ outright — and the recovery still
+// converges.
+func TestSparseAugmentedPatternUsesMergeKernel(t *testing.T) {
+	truth, z, err := gen.Measurements(gen.Config{
+		Rows: 6, Cols: 6, Seed: 4,
+		Anomalies: []gen.Anomaly{{CenterI: 2, CenterJ: 3, RadiusI: 1.5, RadiusJ: 1.5, Factor: 6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := grid.New(6, 6)
+	opts := RecoverOptions{Method: MethodSparse, SparseDropTol: 1e-3}
+	st := newSparseStepper(a, opts)
+	fwd, err := circuit.NewSolver(a, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.prepare(context.Background(), fwd, truth, mat.NewVector(36))
+	if !st.augmented || st.ic == nil {
+		t.Fatalf("pattern not augmented (nnz %d, plan %d) or no IC(0)", st.j.NNZ(), st.plan.NNZ())
+	}
+	want := sparse.FromPattern(36, 36, st.plan.rowPtr, st.plan.colIdx)
+	sparse.NormalInto(want, st.jt)
+	for k, w := range want.Values() {
+		if g := st.normal.Values()[k]; g != w {
+			t.Fatalf("normal slot %d = %g, merge kernel over the augmented Jᵀ gives %g", k, g, w)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Plan.NormalInto accepted an augmented Jᵀ")
+			}
+		}()
+		st.plan.NormalInto(sparse.FromPattern(36, 36, st.plan.rowPtr, st.plan.colIdx), st.jt)
+	}()
+	res, err := Recover(context.Background(), a, z, opts)
+	if err != nil {
+		t.Fatalf("%v (residual %g)", err, res.Residual)
+	}
+	if rel := res.R.MaxAbsDiff(truth) / truth.Max(); rel > 1e-4 {
+		t.Fatalf("augmented recovery is %g from the truth", rel)
+	}
+}
+
+// TestSparseRefreshAllocationsFlat: the forward solver's pair view is what
+// the pattern scan and the Jacobian refresh read, so neither allocates per
+// pair. At 32×32 (1,024 pairs, a pure cross pattern) building the pattern
+// and refreshing the linearization each make a handful of allocations —
+// buffers, the escaping pool closures — where one per pair would be
+// thousands.
+func TestSparseRefreshAllocationsFlat(t *testing.T) {
+	prev := mat.Parallelism(1)
+	defer mat.Parallelism(prev)
+	const size = 32
+	a := grid.NewSquare(size)
+	r := grid.UniformField(size, size, 5000)
+	r.Set(size/2, size/3, 15000)
+	fwd, err := circuit.NewSolver(a, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RecoverOptions{Method: MethodSparse, SparsePrecond: PrecondJacobi, Plan: NewPlan(size, size)}
+	build := testing.AllocsPerRun(3, func() {
+		newSparseStepper(a, opts).buildPattern(context.Background(), fwd, r)
+	})
+	st := newSparseStepper(a, opts)
+	res := mat.NewVector(size * size)
+	refresh := testing.AllocsPerRun(3, func() {
+		st.prepare(context.Background(), fwd, r, res)
+	})
+	if st.augmented {
+		t.Fatal("pattern augmented, want the pure cross")
+	}
+	if build > 32 || refresh > 8 {
+		t.Fatalf("%d pairs: pattern build makes %v allocations, refresh %v; want a per-call constant", size*size, build, refresh)
 	}
 }
 

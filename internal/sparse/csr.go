@@ -1,7 +1,8 @@
 // Package sparse provides compressed sparse row matrices and an iterative
-// conjugate gradient solver. The MEA forward model builds wire-conductance
-// Laplacians here; for large arrays an iterative solve beats the dense LU by
-// a wide margin because each wire touches only n resistors.
+// conjugate gradient solver. The MEA forward model assembles its
+// wire-conductance Laplacian here, and the recovery solver's sparse
+// Gauss-Newton step keeps its Jacobian, the normal matrix's pattern and the
+// IC(0) preconditioner here, solving the damped normal equations by CG.
 package sparse
 
 import (
