@@ -44,14 +44,19 @@ func ChunkSweep(cfg ChunkSweepConfig) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := MeasureTasks(p)
+	return chunkTable(MeasureTasks(p), prof, cfg.Workers, cfg.Chunks), nil
+}
+
+// chunkTable simulates the fine-grained strategy over t's task costs at
+// each chunk size.
+func chunkTable(t *TaskTiming, prof ExecProfile, workers int, chunks []int) *metrics.Table {
 	tbl := metrics.NewTable("chunk", "makespan_s", "vs_serial")
 	serial := t.SerialTime().Seconds()
-	for _, chunk := range cfg.Chunks {
+	for _, chunk := range chunks {
 		pr := prof
 		pr.Chunk = chunk
-		mk := t.FineGrainedTime(pr, cfg.Workers).Seconds()
+		mk := t.FineGrainedTime(pr, workers).Seconds()
 		tbl.AddRow(chunk, fmt.Sprintf("%.6f", mk), fmt.Sprintf("%.2fx", serial/mk))
 	}
-	return tbl, nil
+	return tbl
 }

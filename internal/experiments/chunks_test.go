@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestChunkSweepTradeoff: under a profile with substantial per-chunk
@@ -11,12 +12,7 @@ import (
 // larger than the whole iteration space degenerates toward single-worker
 // behaviour (bounded below by serial/1).
 func TestChunkSweepTradeoff(t *testing.T) {
-	tbl, err := ChunkSweep(ChunkSweepConfig{
-		N: 12, Workers: 8, Chunks: []int{1, 64, 1 << 30}, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := chunkTable(countedTiming(t, 12, 2, 200*time.Nanosecond), PythonProfile, 8, []int{1, 64, 1 << 30})
 	var sb strings.Builder
 	if err := tbl.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

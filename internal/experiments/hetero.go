@@ -47,20 +47,25 @@ func Heterogeneous(cfg HeterogeneousConfig) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := MeasureTasks(p)
-	pairCost := make([]time.Duration, p.Array.Pairs())
+	return heteroTable(MeasureTasks(p), cfg.Ranks, cfg.SlowFactor)
+}
+
+// heteroTable compares the uniform and speed-weighted partitions of t's
+// per-pair costs at each world size, odd ranks slowFactor× slower.
+func heteroTable(t *TaskTiming, worlds []int, slowFactor float64) (*metrics.Table, error) {
+	pairCost := make([]time.Duration, t.prob.Array.Pairs())
 	for task, c := range t.Cost {
 		pairCost[task/len(kirchhoff.Categories)] += c
 	}
 	model := modelFor(PythonProfile)
 
 	tbl := metrics.NewTable("ranks", "uniform_s", "weighted_s", "uniform/weighted")
-	for _, ranks := range cfg.Ranks {
+	for _, ranks := range worlds {
 		speeds := make([]float64, ranks)
 		for r := range speeds {
 			speeds[r] = 1
 			if r%2 == 1 {
-				speeds[r] = 1 / cfg.SlowFactor
+				speeds[r] = 1 / slowFactor
 			}
 		}
 		uniform, err := heteroMakespan(pairCost, speeds, model, sched.StaticRanges(len(pairCost), ranks))

@@ -4,15 +4,33 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
+
+// countedTiming is the task timing of the n×n formation workload with each
+// task's cost counted, not measured: its equation count × perEq. Tests that
+// compare simulated makespans drive the simulators with it, so the result
+// is a pure function of the workload, not of how busy the host is.
+func countedTiming(t *testing.T, n int, seed int64, perEq time.Duration) *TaskTiming {
+	t.Helper()
+	p, err := BuildProblem(n, seed+int64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := MeasureTasks(p)
+	tt.Total = 0
+	for task, eqs := range tt.Eqs {
+		tt.Cost[task] = time.Duration(eqs) * perEq
+		tt.Total += tt.Cost[task]
+	}
+	return tt
+}
 
 // TestHeterogeneousWeightingWins: on a heterogeneous cluster the weighted
 // partition must beat the uniform one by a factor approaching the speed
 // ratio (the slow ranks pin the uniform makespan).
 func TestHeterogeneousWeightingWins(t *testing.T) {
-	tbl, err := Heterogeneous(HeterogeneousConfig{
-		N: 24, Ranks: []int{8}, SlowFactor: 4, Seed: 1,
-	})
+	tbl, err := heteroTable(countedTiming(t, 24, 1, 200*time.Nanosecond), []int{8}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package solver
 // The sparse Gauss-Newton backend of Recover: a CSR Jacobian on the
 // per-geometry cross pattern (optionally augmented by thresholded
 // sensitivity survivors measured at the initial iterate), the damped normal
-// equations solved matrix-free by preconditioned conjugate gradient — two
-// SpMVs and a diagonal Levenberg shift per CG iteration instead of a dense
+// equations solved matrix-free by Jacobi-preconditioned conjugate gradient —
+// two SpMVs and a diagonal Levenberg shift per CG iteration instead of a dense
 // SYRK and Cholesky — and numeric-only per-iteration refresh of every
 // symbolic structure. Pruning is residual-verified twice over: the dropped
 // sensitivity mass is measured and exported at pattern-build time, and the
@@ -52,8 +52,6 @@ type sparseStepper struct {
 	augmented bool // pattern grew beyond the structural cross
 	j, jt     *sparse.CSR
 	perm      []int
-	normal    *sparse.CSR // pattern-restricted JᵀJ, the IC(0) base
-	ic        *sparse.IC0
 
 	// Iteration-scoped numeric state, refreshed by prepare.
 	r    *grid.Field
@@ -61,9 +59,9 @@ type sparseStepper struct {
 	diag mat.Vector // diag(JᵀJ) + the same 1e-12 floor the dense path damps
 
 	// Per-solve scratch.
-	shifted mat.Vector // λ·diag, the Levenberg diagonal shift
-	invDiag mat.Vector
-	apScr   mat.Vector // pairs-length J·p scratch for the operator
+	shifted mat.Vector    // λ·diag, the Levenberg diagonal shift
+	jacobi  sparse.Jacobi // 1/(diag + λ·diag), passed by pointer so solves do not box it
+	apScr   mat.Vector    // pairs-length J·p scratch for the operator
 	ws      sparse.Workspace
 
 	cgIters int // cumulative across the recovery, reported in the result
@@ -78,7 +76,7 @@ func newSparseStepper(arr grid.Array, opts RecoverOptions) *sparseStepper {
 	return &sparseStepper{
 		arr: arr, plan: plan, opts: opts,
 		jtr: mat.NewVector(u), diag: mat.NewVector(u),
-		shifted: mat.NewVector(u), invDiag: mat.NewVector(u),
+		shifted: mat.NewVector(u), jacobi: sparse.Jacobi{InvDiag: mat.NewVector(u)},
 		apScr: mat.NewVector(u),
 	}
 }
@@ -107,7 +105,8 @@ func (st *sparseStepper) dropTol() float64 {
 
 // prepare assembles the linearization at the current iterate: numeric
 // Jacobian refresh on the fixed pattern (built on first call), transpose
-// gather, right-hand side, normal-matrix diagonal, and the IC(0) base.
+// gather, right-hand side, and the normal-matrix diagonal the Jacobi
+// preconditioner inverts.
 func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector) {
 	st.r = r
 	if !st.built {
@@ -146,16 +145,6 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 			st.diag[d] = s + 1e-12
 		}
 	})
-	if st.ic != nil {
-		// On the plan's pure cross pattern the pairs two Jᵀ rows share
-		// follow from the geometry, so the plan's kernel skips the index
-		// merges; an augmented Jᵀ needs the generic merge.
-		if st.augmented {
-			sparse.NormalInto(st.normal, st.jt)
-		} else {
-			st.plan.NormalInto(st.normal, st.jt)
-		}
-	}
 	if sp.Active() {
 		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.j.NNZ()))
 	}
@@ -267,28 +256,10 @@ func (st *sparseStepper) buildPattern(ctx context.Context, fwd *circuit.Solver, 
 		jt, perm := st.j.TransposePlan()
 		st.jt, st.perm = jt, perm
 	}
-	// The preconditioner stays on the structural pattern either way: it only
-	// steers CG, so preconditioner-grade approximation is exactly what it
-	// should be, and the symbolic IC(0) stays cacheable per geometry.
-	if st.precond() == PrecondIC0 {
-		st.normal = sparse.FromPattern(u, u, st.plan.rowPtr, st.plan.colIdx)
-		ic, err := sparse.NewIC0(st.normal)
-		if err == nil {
-			st.ic = ic
-		}
-	}
 	st.built = true
 	if sp.Active() {
 		sp.End(obs.I("nnz", st.j.NNZ()), obs.I("extra", extra))
 	}
-}
-
-// precond resolves the preconditioner choice.
-func (st *sparseStepper) precond() SparsePrecond {
-	if st.opts.SparsePrecond == PrecondAuto {
-		return PrecondIC0
-	}
-	return st.opts.SparsePrecond
 }
 
 // normalOperator is the matrix-free damped normal operator
@@ -318,24 +289,14 @@ func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda floa
 	for i, d := range st.diag {
 		st.shifted[i] = lambda * d
 	}
-	var pre sparse.Preconditioner
-	if st.ic != nil {
-		sp := obs.StartSpanIn(ctx, "solver/ic0_refresh")
-		err := st.ic.Refresh(st.normal, st.shifted)
-		if sp.Active() {
-			sp.End(obs.F("lambda", lambda))
-		}
-		if err == nil {
-			pre = st.ic
-		} else {
-			obs.Add("solver/ic0_fallbacks", 1)
-		}
-	}
-	if pre == nil {
-		for i, d := range st.diag {
-			st.invDiag[i] = 1 / (d + st.shifted[i])
-		}
-		pre = sparse.Jacobi{InvDiag: st.invDiag}
+	// Jacobi on the damped diagonal. The exact JᵀJ of a crossbar is
+	// structurally dense — off-cross resistors (k,l) and (k′,l′) share the
+	// pairs (k,l′) and (k′,l) — so an incomplete factorization restricted to
+	// the cross discards most of the operator: it measured more CG
+	// iterations than the diagonal alone, at twice the cost per iteration
+	// plus a refactorization per damping trial (docs/performance.md).
+	for i, d := range st.diag {
+		st.jacobi.InvDiag[i] = 1 / (d + st.shifted[i])
 	}
 	cgTol := st.opts.SparseCGTol
 	if cgTol == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
@@ -343,7 +304,7 @@ func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda floa
 	}
 	op := &normalOperator{j: st.j, jt: st.jt, shifted: st.shifted, t: st.apScr}
 	sp := obs.StartSpanIn(ctx, "solver/sparse_step")
-	x, stats, err := sparse.CGOp(ctx, &st.ws, op, st.jtr, pre, sparse.CGOptions{Tol: cgTol})
+	x, stats, err := sparse.CGOp(ctx, &st.ws, op, st.jtr, &st.jacobi, sparse.CGOptions{Tol: cgTol})
 	st.cgIters += stats.Iterations
 	obs.Add("sparse/flops", int64(stats.Iterations)*int64(8*st.j.NNZ()+6*len(st.jtr)))
 	if sp.Active() {

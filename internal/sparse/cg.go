@@ -20,8 +20,6 @@ type CGOptions struct {
 	// MaxIter bounds the iteration count. Zero means 10·n (the Laplacians
 	// we solve are well conditioned after grounding, but leave slack).
 	MaxIter int
-	// Precondition enables Jacobi (diagonal) preconditioning.
-	Precondition bool
 }
 
 // Operator is a square linear operator applied matrix-free. The sparse
@@ -46,18 +44,6 @@ type Jacobi struct{ InvDiag mat.Vector }
 // Precondition implements Preconditioner.
 func (j Jacobi) Precondition(dst, r mat.Vector) { applyDiag(dst, j.InvDiag, r) }
 
-// InvertDiagonal fills dst with 1/d for positive entries and the neutral 1
-// otherwise — the standard Jacobi safeguard for zero or negative diagonals.
-func InvertDiagonal(dst, d mat.Vector) {
-	for i, v := range d {
-		if v > 0 {
-			dst[i] = 1 / v
-		} else {
-			dst[i] = 1
-		}
-	}
-}
-
 // CGStats reports how a CG solve went, whether or not it converged.
 type CGStats struct {
 	// Iterations is the number of iterations performed.
@@ -66,16 +52,14 @@ type CGStats struct {
 	Residual float64
 }
 
-// Workspace holds the conjugate gradient work vectors (x, r, z, p, A·p and
-// the preconditioner diagonal) so repeated solves against same-sized
-// systems — the recovery solver's per-iteration normal equations above
-// all — reuse one set of buffers instead of allocating five vectors per
-// solve. The zero value is ready; buffers grow on first use and are
-// retained. A Workspace serves one solve at a time (guard it or pool it
-// for concurrent callers).
+// Workspace holds the conjugate gradient work vectors (x, r, z, p and A·p)
+// so repeated solves against same-sized systems — the recovery solver's
+// per-iteration normal equations above all — reuse one set of buffers
+// instead of allocating five vectors per solve. The zero value is ready;
+// buffers grow on first use and are retained. A Workspace serves one solve
+// at a time (guard it or pool it for concurrent callers).
 type Workspace struct {
-	x, r, z, p, ap, invDiag mat.Vector
-	jac                     Jacobi // boxed as *Jacobi so warm solves stay allocation-free
+	x, r, z, p, ap mat.Vector
 }
 
 // vec returns a length-n view of buf, growing it when needed; the contents
@@ -88,50 +72,15 @@ func (w *Workspace) vec(buf *mat.Vector, n int) mat.Vector {
 	return *buf
 }
 
-// CG solves A·x = b for a symmetric positive (semi)definite CSR matrix using
-// the conjugate gradient method, optionally Jacobi-preconditioned.
-// The returned vector is a fresh allocation; b is not modified.
-func CG(a *CSR, b mat.Vector, opts CGOptions) (mat.Vector, error) {
-	// A fresh workspace means the returned x is a fresh allocation, keeping
-	// this entry point's contract while the solve itself shares CGWith.
-	return CGWith(new(Workspace), a, b, opts)
-}
-
-// csrOperator adapts a CSR matrix to the Operator interface. It is a type
-// conversion, not a wrapper struct, so boxing *csrOperator into the
-// interface stores the pointer directly — no per-solve allocation.
-type csrOperator CSR
-
-func (o *csrOperator) Dim() int                { return (*CSR)(o).Rows() }
-func (o *csrOperator) Apply(dst, x mat.Vector) { (*CSR)(o).MulVecTo(dst, x) }
-
-// CGWith is CG running entirely in ws's buffers: zero allocations once the
-// workspace is warm. The returned vector aliases the workspace and is only
-// valid until its next solve — callers that keep the solution Clone it.
-func CGWith(ws *Workspace, a *CSR, b mat.Vector, opts CGOptions) (mat.Vector, error) {
-	if a.Rows() != a.Cols() {
-		panic(fmt.Sprintf("sparse: CG requires a square matrix, got %dx%d", a.Rows(), a.Cols()))
-	}
-	var pre Preconditioner
-	if opts.Precondition {
-		invDiag := ws.vec(&ws.invDiag, a.Rows())
-		a.DiagonalTo(invDiag)
-		InvertDiagonal(invDiag, invDiag)
-		ws.jac = Jacobi{InvDiag: invDiag}
-		pre = &ws.jac
-	}
-	x, _, err := CGOp(context.Background(), ws, (*csrOperator)(a), b, pre, opts)
-	return x, err
-}
-
 // cgCancelStride is how many CG iterations run between context checks: the
 // cancellation latency of a CG-backed solve is bounded by this many SpMVs.
 const cgCancelStride = 32
 
-// CGOp solves A·x = b for a symmetric positive definite Operator, entirely
-// in ws's buffers (zero allocations once the workspace is warm), with an
-// optional Preconditioner (nil means identity). The returned vector aliases
-// the workspace and is only valid until its next solve.
+// CGOp solves A·x = b for a symmetric positive definite Operator by
+// (preconditioned) conjugate gradient, entirely in ws's buffers (zero
+// allocations once the workspace is warm), with an optional Preconditioner
+// (nil means identity). The returned vector aliases the workspace and is
+// only valid until its next solve.
 //
 // Cancelling ctx aborts the iteration within cgCancelStride iterations; the
 // returned error wraps ctx's error and the best iterate so far is still

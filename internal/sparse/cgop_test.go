@@ -11,9 +11,10 @@ import (
 	"parma/internal/mat"
 )
 
-// TestCGOpMatchesCGWith: the matrix-free core and the CSR entry point must
-// produce the same solution on the same system.
-func TestCGOpMatchesCGWith(t *testing.T) {
+// TestCGOpJacobiMatchesUnpreconditioned: Jacobi-preconditioned CG reaches
+// the unpreconditioned solution of the same system, and with a unit
+// diagonal Jacobi is the identity, so the two runs are bit-identical.
+func TestCGOpJacobiMatchesUnpreconditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a, _ := randomSPD(rng, 12)
 	rhs := mat.NewVector(12)
@@ -21,23 +22,29 @@ func TestCGOpMatchesCGWith(t *testing.T) {
 		rhs[i] = rng.NormFloat64()
 	}
 	var ws1, ws2 Workspace
-	x1, err := CGWith(&ws1, a, rhs, CGOptions{Tol: 1e-12, Precondition: true})
+	x1, _, err := CGOp(context.Background(), &ws1, csrOp{a}, rhs, nil, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	invDiag := mat.NewVector(12)
-	a.DiagonalTo(invDiag)
-	InvertDiagonal(invDiag, invDiag)
-	x2, stats, err := CGOp(context.Background(), &ws2, (*csrOperator)(a), rhs, Jacobi{InvDiag: invDiag}, CGOptions{Tol: 1e-12})
+	x2, stats, err := CGOp(context.Background(), &ws2, csrOp{a}, rhs, jacobiOf(a), CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Iterations == 0 || stats.Residual > 1e-12 {
 		t.Fatalf("stats = %+v", stats)
 	}
+	if !x2.ApproxEqual(x1, 1e-9*x1.NormInf()) {
+		t.Fatalf("Jacobi solution %v differs from unpreconditioned %v", x2, x1)
+	}
+	unit := mat.NewVector(12)
+	unit.Fill(1)
+	x3, _, err := CGOp(context.Background(), &ws2, csrOp{a}, rhs, Jacobi{InvDiag: unit}, CGOptions{Tol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("x1[%d] = %g, x2[%d] = %g: same algorithm must be bit-identical", i, x1[i], i, x2[i])
+		if x1[i] != x3[i] {
+			t.Fatalf("x1[%d] = %g, x3[%d] = %g: same algorithm must be bit-identical", i, x1[i], i, x3[i])
 		}
 	}
 }
@@ -54,7 +61,7 @@ func TestCGOpCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ws Workspace
-	x, _, err := CGOp(ctx, &ws, (*csrOperator)(a), rhs, nil, CGOptions{Tol: 1e-12})
+	x, _, err := CGOp(ctx, &ws, csrOp{a}, rhs, nil, CGOptions{Tol: 1e-12})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want to wrap context.Canceled", err)
 	}
@@ -74,7 +81,7 @@ func TestCGOpBreakdown(t *testing.T) {
 	b.Add(1, 1, -1)
 	a := b.Build()
 	var ws Workspace
-	_, _, err := CGOp(context.Background(), &ws, (*csrOperator)(a), mat.Vector{1, 1}, nil, CGOptions{})
+	_, _, err := CGOp(context.Background(), &ws, csrOp{a}, mat.Vector{1, 1}, nil, CGOptions{})
 	if err == nil || !strings.Contains(err.Error(), "breakdown") {
 		t.Fatalf("err = %v, want breakdown", err)
 	}
@@ -90,7 +97,7 @@ func TestCGOpNoConvergenceReturnsBestIterate(t *testing.T) {
 		rhs[i] = rng.NormFloat64()
 	}
 	var ws Workspace
-	x, stats, err := CGOp(context.Background(), &ws, (*csrOperator)(a), rhs, nil, CGOptions{Tol: 1e-14, MaxIter: 2})
+	x, stats, err := CGOp(context.Background(), &ws, csrOp{a}, rhs, nil, CGOptions{Tol: 1e-14, MaxIter: 2})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}

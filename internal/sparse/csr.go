@@ -1,8 +1,9 @@
 // Package sparse provides compressed sparse row matrices and an iterative
 // conjugate gradient solver. The MEA forward model assembles its
 // wire-conductance Laplacian here, and the recovery solver's sparse
-// Gauss-Newton step keeps its Jacobian, the normal matrix's pattern and the
-// IC(0) preconditioner here, solving the damped normal equations by CG.
+// Gauss-Newton step keeps its Jacobian here and solves the damped normal
+// equations by Jacobi-preconditioned CG (CGOp). The IC(0) factorization and
+// NormalInto stay for benchmarks that time them; no solver path runs them.
 package sparse
 
 import (

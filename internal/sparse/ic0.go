@@ -2,11 +2,13 @@ package sparse
 
 // Incomplete Cholesky with zero fill — IC(0) — on a fixed symmetric
 // pattern. The factor L keeps exactly the lower triangle of the input
-// pattern: the symbolic structure is computed once (per geometry, in the
-// solver's cached plan) and only the numeric factorization reruns when the
-// matrix values or the Levenberg diagonal shift change. Used as the strong
-// preconditioner for the CG-backed sparse normal equations; Jacobi is the
-// fallback when the incomplete factorization breaks down.
+// pattern: the symbolic structure is computed once and only the numeric
+// factorization reruns when the matrix values or a diagonal shift change.
+//
+// No solver path uses IC(0) now: on the recovery's cross-pattern JᵀJ it
+// needed more CG iterations than Jacobi (the exact product is structurally
+// dense, so the pattern restriction discards most of it). It stays because
+// the benchmark's sparse.ic0_ms per-layer metric times NewIC0 + Refresh.
 
 import (
 	"errors"
@@ -18,13 +20,14 @@ import (
 
 // ErrIC0Breakdown is returned when the incomplete factorization hits a
 // non-positive pivot — the pattern-restricted matrix is not positive
-// definite enough for IC(0). Callers fall back to Jacobi preconditioning.
+// definite enough for IC(0).
 var ErrIC0Breakdown = errors.New("sparse: IC(0) pivot breakdown")
 
 // IC0 is an incomplete Cholesky factor on a fixed lower-triangular pattern.
 // Construct the symbolic structure with NewIC0 once, refresh numeric values
 // with Refresh as often as the matrix changes, and apply with Precondition.
 // An IC0 serves one solve pipeline at a time (Refresh mutates the factor).
+// No solver path uses it; see the file comment.
 type IC0 struct {
 	n       int
 	rowPtr  []int // lower triangle incl. diagonal, sorted columns

@@ -173,12 +173,12 @@ func TestIC0PreconditionedCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws Workspace
-	x, stats, err := CGOp(context.Background(), &ws, (*csrOperator)(a), rhs, ic, CGOptions{Tol: 1e-12})
+	x, stats, err := CGOp(context.Background(), &ws, csrOp{a}, rhs, ic, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wsPlain Workspace
-	_, plain, err := CGOp(context.Background(), &wsPlain, (*csrOperator)(a), rhs, nil, CGOptions{Tol: 1e-12})
+	_, plain, err := CGOp(context.Background(), &wsPlain, csrOp{a}, rhs, nil, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

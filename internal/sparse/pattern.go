@@ -5,7 +5,8 @@ package sparse
 // across recoveries, while each recovery owns a private values slice it
 // refreshes in place every iteration. FromPattern builds such a matrix,
 // TransposePlan precomputes the O(nnz) numeric-refresh permutation for its
-// transpose, and NormalInto refreshes a pattern-restricted JᵀJ.
+// transpose, and NormalInto refreshes a pattern-restricted JᵀJ (which no
+// solver path uses now; the benchmark's sparse.normal_ms times it).
 
 import (
 	"fmt"
@@ -118,11 +119,15 @@ func Gather(dst, src []float64, perm []int) {
 // symbolic pattern, given jt = Jᵀ in CSR form: slot (i, j) receives
 // ⟨jt.row(i), jt.row(j)⟩, a sparse dot over sorted index merges. Slots
 // outside the true product's support come out zero; entries of the true
-// product outside dst's pattern are deliberately dropped — dst is the
-// preconditioner-grade approximation of the normal matrix, not the exact
+// product outside dst's pattern are deliberately dropped — dst is a
+// pattern-restricted approximation of the normal matrix, not the exact
 // product. Output rows fan out across the shared kernel pool; each row is
 // owned by one worker and every dot accumulates in merge order, so values
 // are bit-identical at any parallelism.
+//
+// No solver path uses NormalInto now (the sparse Gauss-Newton step is
+// Jacobi-preconditioned and needs only diag(JᵀJ)); it stays because the
+// benchmark's sparse.normal_ms per-layer metric times it.
 func NormalInto(dst, jt *CSR) {
 	if dst.rows != jt.rows || dst.cols != jt.rows {
 		panic(fmt.Sprintf("sparse: NormalInto dst is %dx%d, want %dx%d", dst.rows, dst.cols, jt.rows, jt.rows))

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -90,28 +91,28 @@ func laplacianOfPath(n int) *CSR {
 }
 
 func TestCGSolvesGroundedLaplacian(t *testing.T) {
-	for _, pre := range []bool{false, true} {
-		n := 50
-		a := laplacianOfPath(n)
+	n := 50
+	a := laplacianOfPath(n)
+	for _, pre := range []Preconditioner{nil, jacobiOf(a)} {
 		want := mat.NewVector(n)
 		rng := rand.New(rand.NewSource(4))
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
 		rhs := a.MulVec(want)
-		got, err := CG(a, rhs, CGOptions{Tol: 1e-12, Precondition: pre})
+		got, _, err := CGOp(context.Background(), new(Workspace), csrOp{a}, rhs, pre, CGOptions{Tol: 1e-12})
 		if err != nil {
-			t.Fatalf("precondition=%v: %v", pre, err)
+			t.Fatalf("precondition=%T: %v", pre, err)
 		}
 		if !got.ApproxEqual(want, 1e-6) {
-			t.Fatalf("precondition=%v: CG solution off: max err vs want", pre)
+			t.Fatalf("precondition=%T: CG solution off: max err vs want", pre)
 		}
 	}
 }
 
 func TestCGZeroRHS(t *testing.T) {
 	a := laplacianOfPath(10)
-	x, err := CG(a, mat.NewVector(10), CGOptions{})
+	x, _, err := CGOp(context.Background(), new(Workspace), csrOp{a}, mat.NewVector(10), nil, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +125,19 @@ func TestCGIterationBudget(t *testing.T) {
 	a := laplacianOfPath(200)
 	rhs := mat.NewVector(200)
 	rhs[100] = 1
-	_, err := CG(a, rhs, CGOptions{Tol: 1e-14, MaxIter: 2})
+	_, _, err := CGOp(context.Background(), new(Workspace), csrOp{a}, rhs, nil, CGOptions{Tol: 1e-14, MaxIter: 2})
 	if err == nil {
 		t.Fatal("expected ErrNoConvergence with a 2-iteration budget")
 	}
 }
 
-func TestCGRejectsNonSquare(t *testing.T) {
+// TestCGOpRejectsMismatchedRHS: a right-hand side whose length is not the
+// operator's dimension is a caller bug and panics.
+func TestCGOpRejectsMismatchedRHS(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-square CG")
+			t.Fatal("expected panic for a mismatched right-hand side")
 		}
 	}()
-	b := NewBuilder(2, 3)
-	CG(b.Build(), mat.NewVector(2), CGOptions{})
+	CGOp(context.Background(), new(Workspace), csrOp{laplacianOfPath(2)}, mat.NewVector(3), nil, CGOptions{})
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,55 +24,75 @@ func spdLaplacian(n int) *CSR {
 	return b.Build()
 }
 
+// csrOp adapts a CSR matrix to the Operator interface for the tests, which
+// solve explicit matrices; production CG runs the solver's matrix-free
+// normal operator.
+type csrOp struct{ a *CSR }
+
+func (o csrOp) Dim() int                { return o.a.Rows() }
+func (o csrOp) Apply(dst, x mat.Vector) { o.a.MulVecTo(dst, x) }
+
+// jacobiOf returns the Jacobi preconditioner of a matrix with a positive
+// diagonal.
+func jacobiOf(a *CSR) *Jacobi {
+	inv := a.Diagonal()
+	for i, d := range inv {
+		inv[i] = 1 / d
+	}
+	return &Jacobi{InvDiag: inv}
+}
+
 // TestCGWithWorkspaceReuse solves a sequence of systems through one
-// workspace and checks each against a fresh-allocation CG run: stale buffer
+// workspace and checks each against a fresh-workspace CG run: stale buffer
 // contents from the previous solve must not leak into the next.
 func TestCGWithWorkspaceReuse(t *testing.T) {
 	a := spdLaplacian(40)
 	rng := rand.New(rand.NewSource(13))
 	ws := new(Workspace)
-	for _, precond := range []bool{true, false} {
+	for _, pre := range []Preconditioner{jacobiOf(a), nil} {
 		for rep := 0; rep < 4; rep++ {
 			b := mat.NewVector(40)
 			for i := range b {
 				b[i] = rng.NormFloat64()
 			}
-			opts := CGOptions{Tol: 1e-12, Precondition: precond}
-			want, err := CG(a, b, opts)
+			opts := CGOptions{Tol: 1e-12}
+			want, _, err := CGOp(context.Background(), new(Workspace), csrOp{a}, b, pre, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CGWith(ws, a, b, opts)
+			got, _, err := CGOp(context.Background(), ws, csrOp{a}, b, pre, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.ApproxEqual(want, 1e-10) {
-				t.Fatalf("precond=%v rep=%d: workspace solve differs from fresh solve", precond, rep)
+				t.Fatalf("precond=%T rep=%d: workspace solve differs from fresh solve", pre, rep)
 			}
 		}
 	}
 }
 
-// TestCGWithAllocates pins the point of the workspace: a warm workspace
+// TestCGOpAllocates pins the point of the workspace: a warm workspace
 // solve performs no per-iteration vector allocations.
-func TestCGWithAllocates(t *testing.T) {
+func TestCGOpAllocates(t *testing.T) {
 	a := spdLaplacian(64)
 	b := mat.NewVector(64)
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
 	ws := new(Workspace)
-	opts := CGOptions{Tol: 1e-10, Precondition: true}
-	if _, err := CGWith(ws, a, b, opts); err != nil { // warm-up sizes the buffers
+	var op Operator = csrOp{a}
+	var pre Preconditioner = jacobiOf(a)
+	opts := CGOptions{Tol: 1e-10}
+	if _, _, err := CGOp(context.Background(), ws, op, b, pre, opts); err != nil { // warm-up sizes the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := CGWith(ws, a, b, opts); err != nil {
+		if _, _, err := CGOp(context.Background(), ws, op, b, pre, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("warm CGWith allocates %.1f objects per solve, want 0", allocs)
+		t.Fatalf("warm CGOp allocates %.1f objects per solve, want 0", allocs)
 	}
 }
 
